@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmtcheck test race chaos guidelines calibrate bench benchall sweep hiersweep
+.PHONY: verify build vet fmtcheck test race chaos guidelines calibrate bench benchall perfbench sweep hiersweep
 
 verify: build vet fmtcheck test race chaos guidelines-short
 
@@ -73,6 +73,13 @@ bench:
 # benchall touches every benchmark once (a smoke pass, not a measurement).
 benchall:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
+
+# perfbench runs the repository benchmark (perfbench/README.md): every
+# workload end to end for 20 s at seed 1, printing the end-to-end metrics.
+# `bash perfbench/run.sh --workload <name> --seed <n> --seconds <s> --trace 1`
+# prints the per-layer ledger instead.
+perfbench:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 20 --trace 0
 
 sweep:
 	$(GO) run ./cmd/sweep

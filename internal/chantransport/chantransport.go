@@ -4,10 +4,25 @@
 // deterministic in matching (FIFO per pair), and with optional receive
 // timeouts so that a deadlocked collective fails a test instead of hanging
 // it.
+//
+// Short collectives are bound by the per-message start-up cost, so a
+// healthy send, receive or exchange allocates nothing and takes no lock
+// shared between ranks:
+//
+//   - The abort state every operation checks (poison, epoch, abort channel,
+//     dead set) is an immutable snapshot behind an atomic pointer; abort and
+//     Reset publish a new one under the world's mutex.
+//   - Payloads are copied on send into buffers drawn from size-class pools,
+//     and return to the pool once the receiver has copied them out.
+//   - SendRecv enqueues inline while the pair queue has room and starts a
+//     send goroutine only when it is full.
+//   - A receive arms a timeout only when it has to block, with a timer
+//     taken from a pool of stopped timers.
 package chantransport
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -18,8 +33,89 @@ import (
 
 type message struct {
 	tag   transport.Tag
-	data  []byte // owned by the message; copied on send
-	epoch int    // sender's epoch at send time; receivers drop older frames
+	epoch int     // sender's epoch at send time; receivers drop older frames
+	n     int     // payload length
+	buf   *[]byte // copy of the sender's payload in (*buf)[:n], nil when n is 0
+}
+
+// Payload buffers come from one pool per power-of-two size class between
+// minClass and maxClass; larger payloads are allocated outright. The pools
+// hold *[]byte so that putting a buffer back does not allocate.
+const (
+	minClass = 6  // 64 B
+	maxClass = 22 // 4 MiB
+)
+
+var payloadPools [maxClass + 1]sync.Pool
+
+// sizeClass returns the class of buffers with room for n > 0 bytes.
+func sizeClass(n int) int {
+	if c := bits.Len(uint(n - 1)); c > minClass {
+		return c
+	}
+	return minClass
+}
+
+// newMessage copies p into a pooled buffer.
+func newMessage(tag transport.Tag, p []byte) message {
+	m := message{tag: tag, n: len(p)}
+	if m.n == 0 {
+		return m
+	}
+	c := sizeClass(m.n)
+	if c > maxClass {
+		b := make([]byte, m.n)
+		m.buf = &b
+	} else if m.buf, _ = payloadPools[c].Get().(*[]byte); m.buf == nil {
+		b := make([]byte, 1<<c)
+		m.buf = &b
+	}
+	copy(*m.buf, p)
+	return m
+}
+
+// payload returns the message's copy of the sender's bytes.
+func (m *message) payload() []byte {
+	if m.buf == nil {
+		return nil
+	}
+	return (*m.buf)[:m.n]
+}
+
+// free returns the message's buffer to its pool. The message must not be
+// used afterwards.
+func (m *message) free() {
+	if m.buf != nil {
+		if c := sizeClass(cap(*m.buf)); c <= maxClass {
+			payloadPools[c].Put(m.buf)
+		}
+		m.buf = nil
+	}
+}
+
+// timerPool holds stopped timers whose channels are empty. Receives on one
+// endpoint may overlap (a communicator's progress goroutine can still be
+// draining an aborted request while the caller runs recovery), so timers
+// are pooled rather than owned by the endpoint.
+var timerPool sync.Pool
+
+// startTimer returns a timer that fires after d.
+func startTimer(d time.Duration) *time.Timer {
+	if t, _ := timerPool.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// stopTimer stops t and pools it when no value can reach its channel. A
+// timer that already fired is dropped instead: with the pre-Go 1.23 timer
+// semantics this module builds under, its value may still be in flight,
+// and a later receive would mistake it for its own timeout.
+func stopTimer(t *time.Timer) {
+	if t.Stop() {
+		timerPool.Put(t)
+	}
 }
 
 // World is a set of size ranks wired pairwise with buffered channels.
@@ -36,7 +132,13 @@ type World struct {
 	queue   [][]chan message // queue[src][dst]
 	timeout time.Duration
 
-	mu         sync.Mutex
+	mu    sync.Mutex                 // serialises abort and Reset, the writers of state
+	state atomic.Pointer[worldState] // read without locking by every operation
+}
+
+// worldState is one immutable snapshot of a world's abort state. Writers
+// copy the current snapshot, change the copy and publish it.
+type worldState struct {
 	poison     *transport.AbortError // current uncleared abort, nil when clear
 	lastPoison *transport.AbortError // most recent abort, kept for late observers
 	epoch      int                   // number of cleared poison generations
@@ -47,42 +149,38 @@ type World struct {
 // abort poisons the world: every pending and future operation on any rank
 // fails with an error wrapping both transport.ErrAborted and
 // transport.ErrPeerFailed. Concurrent aborts merge their failed sets into
-// the first; an abort whose failed set carries no news relative to the
-// already-agreed dead set is suppressed (it is a late duplicate from a
-// failure the survivors have already recovered from).
+// a copy of the first; an abort whose failed set carries no news relative
+// to the already-agreed dead set is suppressed (it is a late duplicate from
+// a failure the survivors have already recovered from).
 func (w *World) abort(origin int, reason error) {
 	ae := transport.ToAbortError(origin, reason)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	st := *w.state.Load()
 	if chanDebug {
-		fmt.Printf("CHAN abort origin %d failed %v (poisoned=%v epoch=%d): %v\n", origin, ae.Failed, w.poison != nil, w.epoch, reason)
+		fmt.Printf("CHAN abort origin %d failed %v (poisoned=%v epoch=%d): %v\n", origin, ae.Failed, st.poison != nil, st.epoch, reason)
 	}
-	if w.poison != nil {
-		w.poison.Failed = transport.MergeFailed(w.poison.Failed, ae.Failed)
+	if st.poison != nil {
+		st.poison = st.poison.Merged(ae.Failed)
+		st.lastPoison = st.poison
+		w.state.Store(&st)
 		return
 	}
-	if w.epoch > 0 && transport.SubsetOf(ae.Failed, w.dead) {
+	if st.epoch > 0 && transport.SubsetOf(ae.Failed, st.dead) {
 		return
 	}
-	w.poison = ae
-	w.lastPoison = ae
-	close(w.abortCh)
-}
-
-// aborted returns the current poisoning error, or nil.
-func (w *World) aborted() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.poison != nil {
-		return w.poison
-	}
-	return nil
+	st.poison = ae
+	st.lastPoison = ae
+	// Publish before waking: a blocked operation woken by the close must
+	// find the poison when it re-reads the state.
+	w.state.Store(&st)
+	close(st.abortCh)
 }
 
 // staleErr builds the error for an endpoint whose acknowledged epoch
 // predates the world's.
-func (w *World) staleErr(seen int) error {
-	return fmt.Errorf("%w: endpoint at epoch %d, world at %d: %w", transport.ErrStaleEpoch, seen, w.epoch, w.lastPoison)
+func (st *worldState) staleErr(seen int) error {
+	return fmt.Errorf("%w: endpoint at epoch %d, world at %d: %w", transport.ErrStaleEpoch, seen, st.epoch, st.lastPoison)
 }
 
 // Option configures a World.
@@ -121,7 +219,8 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	w := &World{size: size, timeout: cfg.timeout, abortCh: make(chan struct{})}
+	w := &World{size: size, timeout: cfg.timeout}
+	w.state.Store(&worldState{abortCh: make(chan struct{})})
 	w.queue = make([][]chan message, size)
 	for s := range w.queue {
 		w.queue[s] = make([]chan message, size)
@@ -222,14 +321,12 @@ func (e *Endpoint) Abort(reason error) { e.world.abort(e.rank, reason) }
 // AbortErr returns the world's poisoning error, the stale-epoch error if
 // the world recovered past this endpoint, or nil.
 func (e *Endpoint) AbortErr() error {
-	w := e.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.poison != nil {
-		return w.poison
+	st := e.world.state.Load()
+	if st.poison != nil {
+		return st.poison
 	}
-	if seen := int(e.seen.Load()); seen < w.epoch {
-		return w.staleErr(seen)
+	if seen := int(e.seen.Load()); seen < st.epoch {
+		return st.staleErr(seen)
 	}
 	return nil
 }
@@ -242,16 +339,20 @@ func (e *Endpoint) AbortErr() error {
 func (e *Endpoint) Reset(failed []int) {
 	w := e.world
 	w.mu.Lock()
-	w.dead = transport.MergeFailed(w.dead, failed)
-	if w.poison != nil {
-		w.poison = nil
-		w.epoch++
-		w.abortCh = make(chan struct{})
+	st := *w.state.Load()
+	st.dead = transport.MergeFailed(st.dead, failed)
+	if st.poison != nil {
+		st.poison = nil
+		st.epoch++
+		st.abortCh = make(chan struct{})
 	}
 	if chanDebug {
-		fmt.Printf("CHAN reset rank %d -> epoch %d (failed %v)\n", e.rank, w.epoch, failed)
+		fmt.Printf("CHAN reset rank %d -> epoch %d (failed %v)\n", e.rank, st.epoch, failed)
 	}
-	e.seen.Store(int64(w.epoch))
+	// Acknowledge before publishing: gate reads the state, then seen, so
+	// it never pairs the new epoch with this endpoint's old one.
+	e.seen.Store(int64(st.epoch))
+	w.state.Store(&st)
 	w.mu.Unlock()
 	// Any recovery message still stashed belongs to a round at or before
 	// the one this Reset closes: stale by nonce, never to be drained by a
@@ -316,19 +417,11 @@ func (e *Endpoint) unstash(from int, rec bool, tag transport.Tag, epoch int) (me
 
 // Failed returns the sorted set of world ranks agreed dead.
 func (e *Endpoint) Failed() []int {
-	w := e.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]int(nil), w.dead...)
+	return append([]int(nil), e.world.state.Load().dead...)
 }
 
 // Epoch returns the world's current epoch.
-func (e *Endpoint) Epoch() int {
-	w := e.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.epoch
-}
+func (e *Endpoint) Epoch() int { return e.world.state.Load().epoch }
 
 // gate checks whether an operation with the given peer may proceed. On
 // success it returns the current abort channel (for wakeup) and the
@@ -338,25 +431,24 @@ func (e *Endpoint) Epoch() int {
 // staleness checks are skipped and no abort wakeup is armed (a nil
 // channel blocks in select).
 func (e *Endpoint) gate(peer int, rec bool) (ch chan struct{}, epoch int, err error) {
-	w := e.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	st := e.world.state.Load()
+	seen := int(e.seen.Load())
 	if !rec {
-		if w.poison != nil {
-			return nil, 0, w.poison
+		if st.poison != nil {
+			return nil, 0, st.poison
 		}
-		if seen := int(e.seen.Load()); seen < w.epoch {
-			return nil, 0, w.staleErr(seen)
+		if seen < st.epoch {
+			return nil, 0, st.staleErr(seen)
 		}
 	}
-	if i := searchInts(w.dead, peer); i >= 0 {
+	if i := searchInts(st.dead, peer); i >= 0 {
 		return nil, 0, &transport.PeerError{Peer: peer,
 			Err: fmt.Errorf("%w: rank %d is dead (rank %d)", transport.ErrPeerFailed, peer, e.rank)}
 	}
 	if rec {
-		return nil, int(e.seen.Load()), nil
+		return nil, seen, nil
 	}
-	return w.abortCh, int(e.seen.Load()), nil
+	return st.abortCh, seen, nil
 }
 
 func searchInts(sorted []int, x int) int {
@@ -378,40 +470,73 @@ func searchInts(sorted []int, x int) int {
 // Send copies p and enqueues it for rank to. It blocks only if the pair's
 // channel buffer is full.
 func (e *Endpoint) Send(to int, tag transport.Tag, p []byte) error {
+	if err := e.check(to); err != nil {
+		return err
+	}
+	_, err := e.send(to, newMessage(tag, p), true)
+	return err
+}
+
+// check rejects operations on a closed endpoint or with an invalid peer.
+func (e *Endpoint) check(peer int) error {
 	if e.closed.Load() {
 		return transport.ErrClosed
 	}
-	if err := transport.CheckPeer(e.rank, e.world.size, to); err != nil {
-		return err
-	}
-	data := make([]byte, len(p))
-	copy(data, p)
-	rec := tag.IsRecovery()
-	var timeoutCh <-chan time.Time
-	if rec && e.world.timeout > 0 {
-		// A recovery send has no abort wakeup (it must run through the
-		// poison), so a full queue to a rank that stopped draining —
-		// typically because it is dead — would block forever. Bound it
-		// like a receive and blame the peer.
-		timer := time.NewTimer(e.world.timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
-	for {
-		ch, epoch, err := e.gate(to, rec)
+	return transport.CheckPeer(e.rank, e.world.size, peer)
+}
+
+// send stamps m with the sender's epoch and enqueues it for rank to. When
+// the pair queue is full it blocks until there is room if wait is set;
+// otherwise it returns done false and leaves m to the caller. m is freed
+// when send fails.
+func (e *Endpoint) send(to int, m message, wait bool) (done bool, err error) {
+	q := e.world.queue[e.rank][to]
+	rec := m.tag.IsRecovery()
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			stopTimer(timer)
+		}
 		if err != nil {
-			return err
+			m.free()
+		}
+	}()
+	for {
+		abortCh, epoch, gerr := e.gate(to, rec)
+		if gerr != nil {
+			return true, gerr
+		}
+		m.epoch = epoch
+		select {
+		case q <- m:
+			return true, nil
+		default:
+		}
+		if !wait {
+			return false, nil
+		}
+		var timeoutCh <-chan time.Time
+		if rec && e.world.timeout > 0 {
+			// A recovery send has no abort wakeup (it must run through the
+			// poison), so a full queue to a rank that stopped draining —
+			// typically because it is dead — would block forever. Bound it
+			// like a receive and blame the peer.
+			if timer == nil {
+				timer = startTimer(e.world.timeout)
+			}
+			timeoutCh = timer.C
 		}
 		select {
-		case e.world.queue[e.rank][to] <- message{tag: tag, data: data, epoch: epoch}:
-			return nil
-		case <-ch:
-			// Poisoned (or recovered past us) while blocked: loop to
-			// pick up the gate's verdict.
+		case q <- m:
+			return true, nil
+		case <-abortCh:
+			// Poisoned (or recovered past us) while blocked: loop to pick
+			// up the gate's verdict.
 		case <-timeoutCh:
-			return &transport.PeerError{Peer: to,
+			timer = nil // fired, so not reusable
+			return true, &transport.PeerError{Peer: to,
 				Err: fmt.Errorf("chantransport: rank %d: send to %d tag %#x: %w after %v (peer not draining)",
-					e.rank, to, tag, transport.ErrTimeout, e.world.timeout)}
+					e.rank, to, m.tag, transport.ErrTimeout, e.world.timeout)}
 		}
 	}
 }
@@ -423,22 +548,23 @@ func (e *Endpoint) Send(to int, tag transport.Tag, p []byte) error {
 // popped by an ordinary receive, or a faster peer's next-epoch collective
 // popped by a recovery receive — is stashed for the receive that can use
 // it, never destroyed (see Endpoint).
+//
+// A receive takes a stashed message first, then one already queued; only
+// when it must wait does it arm the receive timeout, with a timer from a
+// pool of stopped timers. The message's payload buffer goes back to its
+// pool once copied into p.
 func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
-	if e.closed.Load() {
-		return 0, transport.ErrClosed
-	}
-	if err := transport.CheckPeer(e.rank, e.world.size, from); err != nil {
+	if err := e.check(from); err != nil {
 		return 0, err
-	}
-	var timer *time.Timer
-	var timeoutCh <-chan time.Time
-	if e.world.timeout > 0 {
-		timer = time.NewTimer(e.world.timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
 	}
 	ch := e.world.queue[from][e.rank]
 	rec := tag.IsRecovery()
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			stopTimer(timer)
+		}
+	}()
 	for {
 		abortCh, epoch, err := e.gate(from, rec)
 		if err != nil {
@@ -448,21 +574,34 @@ func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 		if !ok {
 			select {
 			case m = <-ch:
-			case <-abortCh:
-				continue
-			case <-timeoutCh:
-				if !rec {
-					// If the poison landed in the same instant the timer
-					// fired, the select may pick the timer; the poison
-					// explains the silence, so report it rather than blame
-					// a live peer for an abort it did not cause.
-					if err := e.world.aborted(); err != nil {
-						return 0, err
+			default:
+				var timeoutCh <-chan time.Time
+				if e.world.timeout > 0 {
+					if timer == nil {
+						timer = startTimer(e.world.timeout)
 					}
+					timeoutCh = timer.C
 				}
-				return 0, &transport.PeerError{Peer: from,
-					Err: fmt.Errorf("chantransport: rank %d: receive from %d tag %#x: %w after %v (likely collective deadlock)",
-						e.rank, from, tag, transport.ErrTimeout, e.world.timeout)}
+				select {
+				case m = <-ch:
+				case <-abortCh:
+					continue
+				case <-timeoutCh:
+					timer = nil // fired, so not reusable
+					if !rec {
+						// If the poison landed in the same instant the
+						// timer fired, the select may pick the timer; the
+						// poison explains the silence, so report it rather
+						// than blame a live peer for an abort it did not
+						// cause.
+						if ae := e.world.state.Load().poison; ae != nil {
+							return 0, ae
+						}
+					}
+					return 0, &transport.PeerError{Peer: from,
+						Err: fmt.Errorf("chantransport: rank %d: receive from %d tag %#x: %w after %v (likely collective deadlock)",
+							e.rank, from, tag, transport.ErrTimeout, e.world.timeout)}
+				}
 			}
 		}
 		if rec {
@@ -472,16 +611,20 @@ func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 					// its next collective; hold the message for this rank's
 					// own post-Reset receive.
 					e.stashAdd(from, m, false)
+				} else {
+					m.free() // debris of a collective cut down by the abort
 				}
-				continue // debris of a collective cut down by the abort
+				continue
 			}
 			if m.tag != tag {
-				continue // stale message of an earlier recovery attempt
+				m.free() // stale message of an earlier recovery attempt
+				continue
 			}
 		} else {
 			if m.tag.IsRecovery() {
 				if m.epoch < epoch {
-					continue // debris of a recovery round already committed
+					m.free() // debris of a recovery round already committed
+					continue
 				}
 				// A live agreement message: its sender is recovering and
 				// will never resend it, so destroying it would strand the
@@ -494,7 +637,8 @@ func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 					transport.ErrTagMismatch, e.rank, tag, from, m.tag)
 			}
 			if m.epoch < epoch {
-				continue // stale traffic from before the last recovery
+				m.free() // stale traffic from before the last recovery
+				continue
 			}
 			if m.epoch > epoch {
 				// The sender is an epoch ahead: this endpoint is stale and
@@ -504,27 +648,45 @@ func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 				continue
 			}
 			if m.tag != tag {
+				m.free()
 				return 0, fmt.Errorf("%w: rank %d expected tag %#x from %d, got %#x",
 					transport.ErrTagMismatch, e.rank, tag, from, m.tag)
 			}
 		}
-		if len(m.data) > len(p) {
+		if m.n > len(p) {
+			m.free()
 			return 0, fmt.Errorf("%w: rank %d from %d: message %d bytes, buffer %d",
-				transport.ErrTruncate, e.rank, from, len(m.data), len(p))
+				transport.ErrTruncate, e.rank, from, m.n, len(p))
 		}
-		copy(p, m.data)
-		return len(m.data), nil
+		copy(p, m.payload())
+		m.free()
+		return m.n, nil
 	}
 }
 
-// SendRecv runs the send in a separate goroutine while receiving inline, so
-// a full ring of simultaneous exchanges cannot deadlock regardless of
-// buffer depth.
+// SendRecv sends sp to rank to and receives from rank from into rp. The
+// send is enqueued inline when the pair queue has room, which is the
+// common case; otherwise it runs in a separate goroutine while the
+// receive proceeds inline, so a full ring of simultaneous exchanges cannot
+// deadlock regardless of buffer depth.
 func (e *Endpoint) SendRecv(to int, stag transport.Tag, sp []byte, from int, rtag transport.Tag, rp []byte) (int, error) {
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- e.Send(to, stag, sp) }()
+	var sendErr chan error
+	serr := e.check(to)
+	if serr == nil {
+		m := newMessage(stag, sp)
+		var done bool
+		if done, serr = e.send(to, m, false); !done {
+			sendErr = make(chan error, 1)
+			go func() {
+				_, err := e.send(to, m, true)
+				sendErr <- err
+			}()
+		}
+	}
 	n, rerr := e.Recv(from, rtag, rp)
-	serr := <-sendErr
+	if sendErr != nil {
+		serr = <-sendErr
+	}
 	if rerr != nil {
 		return n, rerr
 	}

@@ -317,7 +317,8 @@ func (ep *Endpoint) Abort(reason error) {
 	e := ep.e
 	ae := transport.ToAbortError(ep.proc.id, reason)
 	if cur, ok := e.abortErr.(*transport.AbortError); ok {
-		cur.Failed = transport.MergeFailed(cur.Failed, ae.Failed)
+		e.abortErr = cur.Merged(ae.Failed)
+		e.lastAbort = e.abortErr
 		return
 	}
 	if e.epoch > 0 && allDead(e.dead, ae.Failed) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -466,5 +467,48 @@ func TestConfigValidation(t *testing.T) {
 	bad := Config{Rows: 1, Cols: 1, Machine: model.Machine{Alpha: 1, Beta: -1, LinkExcess: 1}}
 	if _, err := Run(bad, nil); err == nil {
 		t.Error("negative β accepted")
+	}
+}
+
+// TestAbortMergeCopies: a later abort merges into a copy of the poison, so
+// an AbortError already handed out never changes under a reader outside
+// the simulation.
+func TestAbortMergeCopies(t *testing.T) {
+	_, err := Run(cfg1xN(3), func(ep *Endpoint) error {
+		if ep.Rank() != 0 {
+			return nil
+		}
+		ep.Abort(&transport.PeerError{Peer: 1, Err: transport.ErrTimeout})
+		var first *transport.AbortError
+		if !errors.As(ep.AbortErr(), &first) {
+			t.Errorf("no abort error after Abort: %v", ep.AbortErr())
+			return nil
+		}
+		stop, read := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(read)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = first.Error()
+				}
+			}
+		}()
+		ep.Abort(&transport.PeerError{Peer: 2, Err: transport.ErrTimeout})
+		close(stop)
+		<-read
+		if !reflect.DeepEqual(first.Failed, []int{1}) {
+			t.Errorf("handed-out abort changed: failed %v", first.Failed)
+		}
+		var merged *transport.AbortError
+		if !errors.As(ep.AbortErr(), &merged) || !reflect.DeepEqual(merged.Failed, []int{1, 2}) {
+			t.Errorf("merged abort %v, want failed [1 2]", ep.AbortErr())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

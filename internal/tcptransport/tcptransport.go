@@ -305,7 +305,7 @@ func (e *Endpoint) curEpoch() uint32 {
 func (e *Endpoint) poison(ae *transport.AbortError) bool {
 	e.recMu.Lock()
 	if e.poisonErr != nil {
-		e.poisonErr.Failed = transport.MergeFailed(e.poisonErr.Failed, ae.Failed)
+		e.poisonErr = e.poisonErr.Merged(ae.Failed)
 		e.recMu.Unlock()
 		return false
 	}

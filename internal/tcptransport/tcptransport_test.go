@@ -231,3 +231,36 @@ func TestCollectivesOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAbortMergeCopies: a later abort merges into a copy of the poison, so
+// an AbortError already handed out never changes under its reader.
+func TestAbortMergeCopies(t *testing.T) {
+	eps := localWorld(t, 3)
+	eps[0].Abort(&transport.PeerError{Peer: 1, Err: transport.ErrTimeout})
+	var first *transport.AbortError
+	if !errors.As(eps[0].AbortErr(), &first) {
+		t.Fatalf("no abort error after Abort: %v", eps[0].AbortErr())
+	}
+	stop, read := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = first.Error()
+			}
+		}
+	}()
+	eps[0].Abort(&transport.PeerError{Peer: 2, Err: transport.ErrTimeout})
+	close(stop)
+	<-read
+	if got := fmt.Sprint(first.Failed); got != "[1]" {
+		t.Errorf("handed-out abort changed: failed %s", got)
+	}
+	var merged *transport.AbortError
+	if !errors.As(eps[0].AbortErr(), &merged) || fmt.Sprint(merged.Failed) != "[1 2]" {
+		t.Errorf("merged abort %v, want failed [1 2]", eps[0].AbortErr())
+	}
+}

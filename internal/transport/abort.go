@@ -79,6 +79,14 @@ func NewAbortError(origin int, failed []int, reason string) *AbortError {
 	return &AbortError{Origin: origin, Failed: out, Reason: reason}
 }
 
+// Merged returns a copy of e whose failed set also holds the given ranks.
+// An AbortError is immutable once a transport has handed it out (callers
+// and abort broadcasters read it without locks), so a poison that absorbs
+// a later abort publishes the merged copy instead of writing into e.
+func (e *AbortError) Merged(failed []int) *AbortError {
+	return &AbortError{Origin: e.Origin, Failed: MergeFailed(e.Failed, failed), Reason: e.Reason}
+}
+
 // PeerError attributes an operation failure to a specific peer: the
 // receive that timed out waiting for it, the link to it that died, the
 // operation aimed at it after it was agreed dead. Transports wrap such
