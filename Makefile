@@ -60,12 +60,13 @@ calibrate:
 # all-reduce, plan-cache lookup), the hierarchical detour-pool allocs/op
 # benchmark, the calibrated-versus-default planner benchmark on live
 # transports, the recovery benchmarks (full fail-stop → Agree → Shrink
-# cycle and post-shrink all-reduce steady state), and the simulated
+# cycle and post-shrink all-reduce steady state), one large-vector tcp
+# training step (the byte path's allocs/op), and the simulated
 # flat / 2-level / 3-level comparison at 64 and 256 ranks, recording
 # everything in BENCH_10.json via cmd/benchjson and gating against the
 # prior BENCH_9.json report.
 bench:
-	( $(GO) test -run XXX -bench 'PersistentAllReduce|OneShotAllReduce|PlanCache|HierCollectDeep|CalibratedPlanner|Shrink' \
+	( $(GO) test -run XXX -bench 'PersistentAllReduce|OneShotAllReduce|PlanCache|HierCollectDeep|CalibratedPlanner|Shrink|TCPLargeStep' \
 		-benchmem -count=1 . ; \
 	  $(GO) test -run XXX -bench TreeCollective -benchtime 1x -count=1 ./internal/harness ) \
 		| $(GO) run ./cmd/benchjson -o BENCH_10.json -compare BENCH_9.json

@@ -289,3 +289,61 @@ func BenchmarkPlanner(b *testing.B) {
 		pl.Best(model.Bcast, l, 1<<uint(i%21))
 	}
 }
+
+// BenchmarkTCPLargeStep: one data-parallel training step over loopback
+// tcp, p=4 — a 4 MiB float32 all-reduce and reduce-scatter, a 1 MiB/rank
+// collect and a 1 MiB broadcast — so that -benchmem reports the byte
+// path's allocs/op (whole world, per step) beside the chan figures.
+func BenchmarkTCPLargeStep(b *testing.B) {
+	const p, count, perRank = 4, 1 << 20, 1 << 18 // float32 elements
+	b.SetBytes(4 * (2*count + perRank*p + perRank))
+	err := icc.NewTCPWorld(p).Run(func(c *icc.Comm) error {
+		in := make([]byte, 4*count)
+		arRecv := make([]byte, 4*count)
+		rsRecv := make([]byte, 4*count/p)
+		collRecv := make([]byte, 4*perRank*p)
+		bc := make([]byte, 4*perRank)
+		counts := make([]int, p)
+		for i := range counts {
+			counts[i] = count / p
+		}
+		step := func() error {
+			if err := c.AllReduce(in, arRecv, count, icc.Float32, icc.Sum); err != nil {
+				return err
+			}
+			if err := c.ReduceScatter(in, counts, rsRecv, icc.Float32, icc.Sum); err != nil {
+				return err
+			}
+			if err := c.Collect(in[:4*perRank], collRecv, perRank, icc.Float32); err != nil {
+				return err
+			}
+			return c.Bcast(bc, perRank, icc.Float32, 0)
+		}
+		// One warm-up step fills the pools and the shape memo; the mesh
+		// bring-up stays outside the timed region.
+		if err := step(); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			if err := step(); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			b.StopTimer()
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

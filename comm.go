@@ -379,14 +379,6 @@ func (c *Comm) resolveShape(coll model.Collective, nBytes int) Shape {
 // carries reports whether payload bytes move on this transport.
 func (c *Comm) carries() bool { return transport.CarriesData(c.ep) }
 
-// scratch allocates n bytes, or nil on timing-only transports.
-func (c *Comm) scratch(n int) []byte {
-	if !c.carries() {
-		return nil
-	}
-	return make([]byte, n)
-}
-
 // guard rejects collectives on a communicator whose epoch predates the
 // endpoint's: the world was aborted and recovered past it, so its group
 // may contain agreed-dead ranks and its cached plans dead routes. The
@@ -444,12 +436,14 @@ func (c *Comm) Reduce(send, recv []byte, count int, dt Type, op Op, root int) er
 	if err != nil {
 		return err
 	}
-	work := c.scratch(n)
-	tmp := c.scratch(n)
+	var work, tmp []byte
 	if c.carries() {
 		if len(send) < n {
 			return fmt.Errorf("icc: reduce send buffer %d bytes, need %d", len(send), n)
 		}
+		wb, tb := transport.GetBuf(n), transport.GetBuf(n)
+		defer transport.PutBuf(wb, tb)
+		work, tmp = *wb, *tb
 		copy(work, send[:n])
 	}
 	if err := core.Reduce(c.ctx(), c.shape(model.Reduce, n), root, work, tmp, count, dt, op); err != nil {
@@ -465,27 +459,26 @@ func (c *Comm) Reduce(send, recv []byte, count int, dt Type, op Op, root int) er
 }
 
 // AllReduce combines each node's send vector and leaves the result in recv
-// on every node (Table 1: ⊕y(j) at all Pj).
+// on every node (Table 1: ⊕y(j) at all Pj). send is copied into recv and
+// combined there, so the two may be the same buffer. Buffers too short are
+// rejected untouched; after any other error recv's contents are unspecified.
 func (c *Comm) AllReduce(send, recv []byte, count int, dt Type, op Op) error {
 	n, err := c.vecBytes(count, dt, 1)
 	if err != nil {
 		return err
 	}
-	work := c.scratch(n)
-	tmp := c.scratch(n)
+	var work, tmp []byte
 	if c.carries() {
 		if len(send) < n || len(recv) < n {
 			return fmt.Errorf("icc: all-reduce buffers %d/%d bytes, need %d", len(send), len(recv), n)
 		}
+		work = recv[:n]
 		copy(work, send[:n])
+		tb := transport.GetBuf(n)
+		defer transport.PutBuf(tb)
+		tmp = *tb
 	}
-	if err := core.AllReduce(c.ctx(), c.shape(model.AllReduce, n), work, tmp, count, dt, op); err != nil {
-		return err
-	}
-	if c.carries() {
-		copy(recv[:n], work)
-	}
-	return nil
+	return core.AllReduce(c.ctx(), c.shape(model.AllReduce, n), work, tmp, count, dt, op)
 }
 
 // Scatter splits root's send vector into equal count-element segments and
@@ -495,11 +488,7 @@ func (c *Comm) Scatter(send, recv []byte, count int, dt Type, root int) error {
 	if _, err := c.vecBytes(count, dt, c.Size()); err != nil {
 		return err
 	}
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = count
-	}
-	return c.Scatterv(send, counts, recv, dt, root)
+	return c.Scatterv(send, c.equalCounts(count), recv, dt, root)
 }
 
 // Scatterv is Scatter with per-node element counts; node i receives
@@ -509,16 +498,19 @@ func (c *Comm) Scatterv(send []byte, counts []int, recv []byte, dt Type, root in
 	if err != nil {
 		return err
 	}
-	work := c.scratch(total)
+	var work []byte
 	if c.carries() {
-		if c.me == root {
-			if len(send) < total {
-				return fmt.Errorf("icc: scatter send buffer %d bytes, need %d", len(send), total)
-			}
-			copy(work, send[:total])
+		if c.me == root && len(send) < total {
+			return fmt.Errorf("icc: scatter send buffer %d bytes, need %d", len(send), total)
 		}
 		if len(recv) < offs[c.me+1]-offs[c.me] {
 			return fmt.Errorf("icc: scatter recv buffer %d bytes, need %d", len(recv), offs[c.me+1]-offs[c.me])
+		}
+		wb := transport.GetBuf(total)
+		defer transport.PutBuf(wb)
+		work = *wb
+		if c.me == root {
+			copy(work, send[:total])
 		}
 	}
 	if err := core.Scatter(c.ctx(), c.shape(model.Scatter, total), root, work, counts, dt.Size()); err != nil {
@@ -536,11 +528,7 @@ func (c *Comm) Gather(send, recv []byte, count int, dt Type, root int) error {
 	if _, err := c.vecBytes(count, dt, c.Size()); err != nil {
 		return err
 	}
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = count
-	}
-	return c.Gatherv(send, counts, recv, dt, root)
+	return c.Gatherv(send, c.equalCounts(count), recv, dt, root)
 }
 
 // Gatherv is Gather with per-node element counts.
@@ -549,12 +537,15 @@ func (c *Comm) Gatherv(send []byte, counts []int, recv []byte, dt Type, root int
 	if err != nil {
 		return err
 	}
-	work := c.scratch(total)
+	var work []byte
 	mine := offs[c.me+1] - offs[c.me]
 	if c.carries() {
 		if len(send) < mine {
 			return fmt.Errorf("icc: gather send buffer %d bytes, need %d", len(send), mine)
 		}
+		wb := transport.GetBuf(total)
+		defer transport.PutBuf(wb)
+		work = *wb
 		copy(work[offs[c.me]:offs[c.me+1]], send[:mine])
 	}
 	if err := core.Gather(c.ctx(), c.shape(model.Gather, total), root, work, counts, dt.Size()); err != nil {
@@ -575,11 +566,7 @@ func (c *Comm) Collect(send, recv []byte, count int, dt Type) error {
 	if _, err := c.vecBytes(count, dt, c.Size()); err != nil {
 		return err
 	}
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = count
-	}
-	return c.Collectv(send, counts, recv, dt)
+	return c.Collectv(send, c.equalCounts(count), recv, dt)
 }
 
 // Collectv is Collect with per-node element counts — the "known lengths"
@@ -615,8 +602,7 @@ func (c *Comm) ReduceScatter(send []byte, counts []int, recv []byte, dt Type, op
 	if err != nil {
 		return err
 	}
-	work := c.scratch(total)
-	tmp := c.scratch(total)
+	var work, tmp []byte
 	mine := offs[c.me+1] - offs[c.me]
 	if c.carries() {
 		if len(send) < total {
@@ -625,6 +611,9 @@ func (c *Comm) ReduceScatter(send []byte, counts []int, recv []byte, dt Type, op
 		if len(recv) < mine {
 			return fmt.Errorf("icc: reduce-scatter recv buffer %d bytes, need %d", len(recv), mine)
 		}
+		wb, tb := transport.GetBuf(total), transport.GetBuf(total)
+		defer transport.PutBuf(wb, tb)
+		work, tmp = *wb, *tb
 		copy(work, send[:total])
 	}
 	if err := core.ReduceScatter(c.ctx(), c.shape(model.ReduceScatter, total), work, tmp, counts, dt, op); err != nil {

@@ -12,8 +12,9 @@
 //   - The abort state every operation checks (poison, epoch, abort channel,
 //     dead set) is an immutable snapshot behind an atomic pointer; abort and
 //     Reset publish a new one under the world's mutex.
-//   - Payloads are copied on send into buffers drawn from size-class pools,
-//     and return to the pool once the receiver has copied them out.
+//   - Payloads are copied on send into buffers drawn from the transport
+//     package's shared size-class pool, and return to it once the receiver
+//     has copied them out.
 //   - SendRecv enqueues inline while the pair queue has room and starts a
 //     send goroutine only when it is full.
 //   - A receive arms a timeout only when it has to block, with a timer
@@ -22,7 +23,6 @@ package chantransport
 
 import (
 	"fmt"
-	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -34,44 +34,12 @@ import (
 type message struct {
 	tag   transport.Tag
 	epoch int     // sender's epoch at send time; receivers drop older frames
-	n     int     // payload length
-	buf   *[]byte // copy of the sender's payload in (*buf)[:n], nil when n is 0
-}
-
-// Payload buffers come from one pool per power-of-two size class between
-// minClass and maxClass; larger payloads are allocated outright. The pools
-// hold *[]byte so that putting a buffer back does not allocate.
-const (
-	minClass = 6  // 64 B
-	maxClass = 22 // 4 MiB
-)
-
-var payloadPools [maxClass + 1]sync.Pool
-
-// sizeClass returns the class of buffers with room for n > 0 bytes.
-func sizeClass(n int) int {
-	if c := bits.Len(uint(n - 1)); c > minClass {
-		return c
-	}
-	return minClass
+	buf   *[]byte // pooled copy of the sender's payload, nil when empty
 }
 
 // newMessage copies p into a pooled buffer.
 func newMessage(tag transport.Tag, p []byte) message {
-	m := message{tag: tag, n: len(p)}
-	if m.n == 0 {
-		return m
-	}
-	c := sizeClass(m.n)
-	if c > maxClass {
-		b := make([]byte, m.n)
-		m.buf = &b
-	} else if m.buf, _ = payloadPools[c].Get().(*[]byte); m.buf == nil {
-		b := make([]byte, 1<<c)
-		m.buf = &b
-	}
-	copy(*m.buf, p)
-	return m
+	return message{tag: tag, buf: transport.CopyBuf(p)}
 }
 
 // payload returns the message's copy of the sender's bytes.
@@ -79,43 +47,14 @@ func (m *message) payload() []byte {
 	if m.buf == nil {
 		return nil
 	}
-	return (*m.buf)[:m.n]
+	return *m.buf
 }
 
 // free returns the message's buffer to its pool. The message must not be
 // used afterwards.
 func (m *message) free() {
-	if m.buf != nil {
-		if c := sizeClass(cap(*m.buf)); c <= maxClass {
-			payloadPools[c].Put(m.buf)
-		}
-		m.buf = nil
-	}
-}
-
-// timerPool holds stopped timers whose channels are empty. Receives on one
-// endpoint may overlap (a communicator's progress goroutine can still be
-// draining an aborted request while the caller runs recovery), so timers
-// are pooled rather than owned by the endpoint.
-var timerPool sync.Pool
-
-// startTimer returns a timer that fires after d.
-func startTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-// stopTimer stops t and pools it when no value can reach its channel. A
-// timer that already fired is dropped instead: with the pre-Go 1.23 timer
-// semantics this module builds under, its value may still be in flight,
-// and a later receive would mistake it for its own timeout.
-func stopTimer(t *time.Timer) {
-	if t.Stop() {
-		timerPool.Put(t)
-	}
+	transport.PutBuf(m.buf)
+	m.buf = nil
 }
 
 // World is a set of size ranks wired pairwise with buffered channels.
@@ -495,7 +434,7 @@ func (e *Endpoint) send(to int, m message, wait bool) (done bool, err error) {
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
-			stopTimer(timer)
+			transport.StopTimer(timer)
 		}
 		if err != nil {
 			m.free()
@@ -522,7 +461,7 @@ func (e *Endpoint) send(to int, m message, wait bool) (done bool, err error) {
 			// typically because it is dead — would block forever. Bound it
 			// like a receive and blame the peer.
 			if timer == nil {
-				timer = startTimer(e.world.timeout)
+				timer = transport.StartTimer(e.world.timeout)
 			}
 			timeoutCh = timer.C
 		}
@@ -562,7 +501,7 @@ func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
-			stopTimer(timer)
+			transport.StopTimer(timer)
 		}
 	}()
 	for {
@@ -578,7 +517,7 @@ func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 				var timeoutCh <-chan time.Time
 				if e.world.timeout > 0 {
 					if timer == nil {
-						timer = startTimer(e.world.timeout)
+						timer = transport.StartTimer(e.world.timeout)
 					}
 					timeoutCh = timer.C
 				}
@@ -653,14 +592,15 @@ func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 					transport.ErrTagMismatch, e.rank, tag, from, m.tag)
 			}
 		}
-		if m.n > len(p) {
+		data := m.payload()
+		if len(data) > len(p) {
 			m.free()
 			return 0, fmt.Errorf("%w: rank %d from %d: message %d bytes, buffer %d",
-				transport.ErrTruncate, e.rank, from, m.n, len(p))
+				transport.ErrTruncate, e.rank, from, len(data), len(p))
 		}
-		copy(p, m.payload())
+		n := copy(p, data)
 		m.free()
-		return m.n, nil
+		return n, nil
 	}
 }
 

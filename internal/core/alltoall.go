@@ -157,7 +157,8 @@ func bruckAllToAll(e *env, phase uint32, send, recv []byte, count, es int) error
 		}
 		return nil
 	}
-	work := e.alloc(p * blk)
+	work, relW := e.detour(p * blk)
+	defer relW()
 	if e.carry {
 		for j := 0; j < p; j++ {
 			src := (me + j) % p
@@ -170,8 +171,10 @@ func bruckAllToAll(e *env, phase uint32, send, recv []byte, count, es int) error
 			maxCnt = cnt
 		}
 	}
-	sbuf := e.alloc(maxCnt * blk)
-	rbuf := e.alloc(maxCnt * blk)
+	sbuf, relS := e.detour(maxCnt * blk)
+	defer relS()
+	rbuf, relR := e.detour(maxCnt * blk)
+	defer relR()
 	step := 0
 	for k := 1; k < p; k <<= 1 {
 		nb := model.BruckRelayBlocks(p, k) * blk

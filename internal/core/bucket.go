@@ -67,7 +67,11 @@ func bucketReduceScatter(e *env, phase uint32, offs []int, buf []byte, base int,
 			maxSeg = s
 		}
 	}
-	scratch := [2][]byte{e.alloc(maxSeg), e.alloc(maxSeg)}
+	s0, rel0 := e.detour(maxSeg)
+	defer rel0()
+	s1, rel1 := e.detour(maxSeg)
+	defer rel1()
+	scratch := [2][]byte{s0, s1}
 	// First outgoing bucket: my raw contribution to segment me-1.
 	sIdx := (me + p - 1) % p
 	cur := sl(sIdx)

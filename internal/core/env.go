@@ -137,18 +137,6 @@ func (e *env) sendRecv(to int, stag transport.Tag, sp []byte, sn int, from int, 
 	return nil
 }
 
-// alloc returns an n-byte scratch buffer, or nil in timing-only mode. In
-// recording mode the buffer is carved from the plan's scratch arena.
-func (e *env) alloc(n int) []byte {
-	if e.rec != nil {
-		return e.rec.alloc(n)
-	}
-	if !e.carry {
-		return nil
-	}
-	return make([]byte, n)
-}
-
 // copyb copies src into dst in carrying mode; it is free in the model, so
 // no time is charged (the paper's algorithms are arranged so data lands in
 // place).

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/datatype"
 	"repro/internal/group"
 	"repro/internal/model"
+	"repro/internal/transport"
 )
 
 // Hierarchical collectives over N-level topologies. The paper builds every
@@ -204,16 +204,13 @@ func canonTopology(t group.Topology, ord []int) group.Topology {
 	return ct
 }
 
-// detourPool recycles the pack/unpack detour buffers of the hierarchical
-// collectives (pMR-style reuse), so deep hierarchies allocate O(1) per
-// phase in steady state instead of paying GC tax for every level.
-var detourPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // detour returns an n-byte scratch buffer and its release function. The
-// buffer is pooled and NOT zeroed — callers write every region before
-// reading it. In recording mode the buffer is carved from the plan's
-// scratch arena and never recycled (plan steps alias it); in timing-only
-// mode it is nil, like alloc.
+// buffer comes from the transport's shared size-class pool (pMR-style
+// reuse, so collectives allocate O(1) per phase in steady state instead of
+// paying GC tax for every level) and is NOT zeroed — callers write every
+// region before reading it. In recording mode the buffer is carved from
+// the plan's scratch arena and never recycled (plan steps alias it); in
+// timing-only mode it is nil.
 func (e *env) detour(n int) ([]byte, func()) {
 	if e.rec != nil {
 		return e.rec.alloc(n), func() {}
@@ -221,11 +218,8 @@ func (e *env) detour(n int) ([]byte, func()) {
 	if !e.carry {
 		return nil, func() {}
 	}
-	bp := detourPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	return (*bp)[:n], func() { detourPool.Put(bp) }
+	bp := transport.GetBuf(n)
+	return *bp, func() { transport.PutBuf(bp) }
 }
 
 // contigOffs re-slices a group's absolute offsets to a contiguous member

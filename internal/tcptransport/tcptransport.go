@@ -32,7 +32,18 @@
 // payload), ack (8-byte cumulative receive count), abort (4-byte origin,
 // 4-byte failed-set size, the failed ranks, 4-byte length, reason text —
 // the out-of-band failure broadcast), and bye (graceful close). Messages
-// between a pair of ranks are FIFO.
+// between a pair of ranks are FIFO. A payload must be shorter than 4 GiB,
+// the reach of the length field.
+//
+// Payload bytes live in buffers from the shared size-class pool
+// (transport.GetBuf), each owned by one party at a time. Sent: Send copies
+// the caller's bytes into a pooled buffer, which the retransmit buffer
+// owns; it is written with its header in one writev and goes back to the
+// pool when a cumulative ack or the reconnect handshake prunes it, both
+// under the link lock. Received: the reader reads each payload into a
+// pooled buffer, the inbound queue owns it, and Recv returns it to the
+// pool once it has copied it out or discarded the message. Self-sends take
+// the received path directly.
 package tcptransport
 
 import (
@@ -41,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -51,8 +63,51 @@ import (
 
 type message struct {
 	tag   transport.Tag
-	data  []byte
 	epoch uint32
+	buf   *[]byte // pooled payload, nil when empty
+}
+
+// payload returns the message's bytes.
+func (m *message) payload() []byte {
+	if m.buf == nil {
+		return nil
+	}
+	return *m.buf
+}
+
+// frame is a sent data message as the retransmit buffer holds it: the
+// wire header, kept apart so a payload fills its size class exactly, and
+// the pooled payload.
+type frame struct {
+	hdr [13]byte
+	buf *[]byte // nil when empty
+}
+
+// newFrame encodes a data frame around a pooled copy of p.
+func newFrame(tag transport.Tag, epoch uint32, p []byte) frame {
+	f := frame{buf: transport.CopyBuf(p)}
+	f.hdr[0] = frameData
+	binary.LittleEndian.PutUint32(f.hdr[1:], uint32(tag))
+	binary.LittleEndian.PutUint32(f.hdr[5:], epoch)
+	binary.LittleEndian.PutUint32(f.hdr[9:], uint32(len(p)))
+	return f
+}
+
+// size is the frame's length on the wire.
+func (f *frame) size() int {
+	if f.buf == nil {
+		return len(f.hdr)
+	}
+	return len(f.hdr) + len(*f.buf)
+}
+
+// checkFrameLen rejects a payload the frame header's 4-byte length field
+// cannot describe; writing it would silently corrupt the stream.
+func checkFrameLen(n int) error {
+	if uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("tcptransport: %d-byte message exceeds the %d-byte frame limit", n, uint64(math.MaxUint32))
+	}
+	return nil
 }
 
 // Frame type bytes.
@@ -182,10 +237,13 @@ type link struct {
 
 	// Sender state: sent counts data frames handed to Send; unacked holds
 	// the frames the peer has not yet acknowledged (retransmitted on
-	// reconnect).
+	// reconnect). iov and bufs are writeFrameLocked's reused writev
+	// vector.
 	sent         uint64
-	unacked      [][]byte
+	unacked      []frame
 	unackedBytes int
+	iov          [2][]byte
+	bufs         net.Buffers
 
 	// Receiver state: recvd counts data frames delivered in order;
 	// sinceAck/sinceAckBytes drive periodic acknowledgements.
@@ -471,18 +529,42 @@ func (e *Endpoint) Send(to int, tag transport.Tag, p []byte) error {
 			return err
 		}
 	}
+	if err := checkFrameLen(len(p)); err != nil {
+		return err
+	}
 	if e.closed.Load() {
 		return transport.ErrClosed
 	}
 	if to == e.rank {
-		data := append([]byte(nil), p...)
-		e.loopback.push(message{tag: tag, data: data, epoch: e.curEpoch()})
+		e.loopback.push(message{tag: tag, epoch: e.curEpoch(), buf: transport.CopyBuf(p)})
 		return nil
 	}
-	fr := dataFrame(tag, e.curEpoch(), p)
+	f := newFrame(tag, e.curEpoch(), p)
 	l := e.link(to)
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.admitLocked(rec); err != nil {
+		transport.PutBuf(f.buf)
+		return err
+	}
+	l.unacked = append(l.unacked, f)
+	l.unackedBytes += f.size()
+	l.sent++
+	if l.c != nil {
+		if err := l.writeFrameLocked(l.c, &l.unacked[len(l.unacked)-1]); err != nil {
+			// The frame stays buffered; the reconnect handshake decides
+			// what actually needs retransmitting.
+			l.breakLocked(l.c, err)
+		}
+	}
+	return nil
+}
+
+// admitLocked waits while the retransmit buffer is at its cap and then
+// reports whether a frame may join it: nil, or the abort, link failure or
+// closure that forbids it.
+func (l *link) admitLocked(rec bool) error {
+	e := l.e
 	for l.failErr == nil && !l.closed && (rec || e.AbortErr() == nil) &&
 		(l.unackedBytes >= maxUnackedBytes || len(l.unacked) >= maxUnackedFrames) {
 		l.cond.Wait()
@@ -498,16 +580,6 @@ func (e *Endpoint) Send(to int, tag transport.Tag, p []byte) error {
 	if l.closed {
 		return transport.ErrClosed
 	}
-	l.unacked = append(l.unacked, fr)
-	l.unackedBytes += len(fr)
-	l.sent++
-	if l.c != nil {
-		if err := l.writeLocked(l.c, fr); err != nil {
-			// The frame stays buffered; the reconnect handshake decides
-			// what actually needs retransmitting.
-			l.breakLocked(l.c, err)
-		}
-	}
 	return nil
 }
 
@@ -516,7 +588,8 @@ func (e *Endpoint) Send(to int, tag transport.Tag, p []byte) error {
 // the link's fatal error, the abort error, or transport.ErrTimeout after
 // the configured receive timeout. Messages stamped with an epoch older
 // than the endpoint's are remnants of a collective cut down by an abort
-// and are silently discarded.
+// and are silently discarded. Every message popped, delivered or not,
+// returns its payload buffer to the pool.
 func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 	if err := transport.CheckPeer(e.rank, e.size, from); err != nil {
 		return 0, err
@@ -540,24 +613,25 @@ func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 		down = l.down
 	}
 	// The timeout timer is armed lazily, on the first pass that actually
-	// has to block: the common case finds the message already delivered
-	// and should not pay a timer allocation per receive.
+	// has to block, with a timer from the shared pool of stopped timers:
+	// the common case finds the message already delivered and should not
+	// pay for a timer at all.
 	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			transport.StopTimer(timer)
+		}
+	}()
 	var timeoutC <-chan time.Time
 	for {
 		if m, ok := q.pop(); ok {
-			if rec {
-				if m.tag != tag {
-					continue // debris of an aborted collective, or a stale recovery attempt
-				}
-			} else if m.epoch < myEpoch {
-				continue // stale traffic from before the last recovery
+			if stale(m, rec, tag, myEpoch) {
+				continue
 			}
 			return deliver(e, from, tag, m, p)
 		}
 		if timer == nil && e.cfg.timeout > 0 {
-			timer = time.NewTimer(e.cfg.timeout)
-			defer timer.Stop()
+			timer = transport.StartTimer(e.cfg.timeout)
 			timeoutC = timer.C
 		}
 		// Recovery receives run through the poison, so they arm no abort
@@ -575,11 +649,7 @@ func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 				if !ok {
 					return 0, e.downErr(from)
 				}
-				if rec {
-					if m.tag != tag {
-						continue
-					}
-				} else if m.epoch < myEpoch {
+				if stale(m, rec, tag, myEpoch) {
 					continue
 				}
 				return deliver(e, from, tag, m, p)
@@ -589,24 +659,39 @@ func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
 				return 0, err
 			}
 		case <-timeoutC:
+			timer = nil // fired, so not reusable
 			return 0, &transport.PeerError{Peer: from,
 				Err: fmt.Errorf("tcptransport: rank %d: receive from %d: %w after %v", e.rank, from, transport.ErrTimeout, e.cfg.timeout)}
 		}
 	}
 }
 
-// deliver validates a matched message's tag and length and copies it out.
+// stale reports whether a popped message is one a receive discards: for a
+// recovery receive, debris of an aborted collective or a stale recovery
+// attempt; otherwise traffic from before the last recovery. A discarded
+// message's buffer goes back to the pool.
+func stale(m message, rec bool, tag transport.Tag, epoch uint32) bool {
+	if rec && m.tag == tag || !rec && m.epoch >= epoch {
+		return false
+	}
+	transport.PutBuf(m.buf)
+	return true
+}
+
+// deliver validates a matched message's tag and length, copies it out and
+// returns its buffer to the pool.
 func deliver(e *Endpoint, from int, tag transport.Tag, m message, p []byte) (int, error) {
+	defer transport.PutBuf(m.buf)
+	data := m.payload()
 	if m.tag != tag {
 		return 0, fmt.Errorf("%w: rank %d expected tag %#x from %d, got %#x",
 			transport.ErrTagMismatch, e.rank, uint32(tag), from, uint32(m.tag))
 	}
-	if len(m.data) > len(p) {
+	if len(data) > len(p) {
 		return 0, fmt.Errorf("%w: rank %d from %d: message %d bytes, buffer %d",
-			transport.ErrTruncate, e.rank, from, len(m.data), len(p))
+			transport.ErrTruncate, e.rank, from, len(data), len(p))
 	}
-	copy(p, m.data)
-	return len(m.data), nil
+	return copy(p, data), nil
 }
 
 // downErr explains a failed source: the link's fatal error, or a plain
@@ -770,6 +855,42 @@ func (l *link) writeLocked(c net.Conn, fr []byte) error {
 	}
 	_, err := c.Write(fr)
 	return err
+}
+
+// writeFrameLocked writes one data frame, header and payload in a single
+// writev through the link's reused vector, under the link lock with the
+// configured write deadline.
+func (l *link) writeFrameLocked(c net.Conn, f *frame) error {
+	if wt := l.e.cfg.writeTimeout; wt > 0 {
+		c.SetWriteDeadline(time.Now().Add(wt))
+	}
+	l.iov = [2][]byte{f.hdr[:]}
+	if f.buf != nil {
+		l.iov[1] = *f.buf
+	}
+	l.bufs = l.iov[:]
+	_, err := l.bufs.WriteTo(c)
+	l.iov, l.bufs = [2][]byte{}, nil // hold no payload past the write
+	return err
+}
+
+// pruneLocked drops the first k frames of the retransmit buffer, which
+// the peer has acknowledged, and returns their payloads to the pool. The
+// remaining frames move to the front of the array whenever that copies no
+// more frames than were pruned, so a steady stream reuses one array.
+func (l *link) pruneLocked(k int) {
+	for i := range l.unacked[:k] {
+		l.unackedBytes -= l.unacked[i].size()
+		transport.PutBuf(l.unacked[i].buf)
+	}
+	if rest := len(l.unacked) - k; rest <= k {
+		copy(l.unacked, l.unacked[k:])
+		clear(l.unacked[rest:])
+		l.unacked = l.unacked[:rest]
+	} else {
+		clear(l.unacked[:k])
+		l.unacked = l.unacked[k:]
+	}
 }
 
 // breakLocked starts an outage for conn c: the conn is dropped, a fail
@@ -989,11 +1110,7 @@ func (l *link) install(c net.Conn, peerRecvd, peerBoot uint64) error {
 		l.failLocked(err)
 		return err
 	}
-	for i := 0; i < int(peerRecvd-base); i++ {
-		l.unackedBytes -= len(l.unacked[i])
-		l.unacked[i] = nil
-	}
-	l.unacked = l.unacked[peerRecvd-base:]
+	l.pruneLocked(int(peerRecvd - base))
 	l.sinceAck, l.sinceAckBytes = 0, 0
 	l.c = c
 	l.gen++
@@ -1003,8 +1120,8 @@ func (l *link) install(c net.Conn, peerRecvd, peerBoot uint64) error {
 		l.est = true
 		close(l.estCh)
 	}
-	for _, fr := range l.unacked {
-		if err := l.writeLocked(c, fr); err != nil {
+	for i := range l.unacked {
+		if err := l.writeFrameLocked(c, &l.unacked[i]); err != nil {
 			l.breakLocked(c, err)
 			return err
 		}
@@ -1028,10 +1145,11 @@ func (e *Endpoint) reader(l *link, c net.Conn, gen int) {
 		l.breakLocked(c, err)
 		l.mu.Unlock()
 	}
-	// One header scratch for the goroutine's lifetime: io.ReadFull's
-	// interface argument makes a loop-local array escape, which would be
-	// an allocation per frame.
+	// One header and one ack scratch for the goroutine's lifetime:
+	// io.ReadFull's and Write's interface arguments make a loop-local array
+	// escape, which would be an allocation per frame.
 	var hdr [12]byte
+	var ack [9]byte
 	for {
 		kind, err := br.ReadByte()
 		if err != nil {
@@ -1047,55 +1165,54 @@ func (e *Endpoint) reader(l *link, c net.Conn, gen int) {
 			tag := transport.Tag(binary.LittleEndian.Uint32(hdr[0:]))
 			epoch := binary.LittleEndian.Uint32(hdr[4:])
 			n := binary.LittleEndian.Uint32(hdr[8:])
-			data := make([]byte, n)
-			if _, err := io.ReadFull(br, data); err != nil {
-				fail(err)
-				return
+			m := message{tag: tag, epoch: epoch}
+			if n > 0 {
+				m.buf = transport.GetBuf(int(n))
+				if _, err := io.ReadFull(br, *m.buf); err != nil {
+					transport.PutBuf(m.buf)
+					fail(err)
+					return
+				}
 			}
 			l.mu.Lock()
 			if l.c != c || l.gen != gen {
 				// Replaced mid-frame: this frame is uncounted, so the
 				// peer retransmits it on the new conn.
 				l.mu.Unlock()
+				transport.PutBuf(m.buf)
 				return
 			}
 			l.recvd++
 			l.sinceAck++
 			l.sinceAckBytes += int(n)
 			if l.sinceAck >= ackEvery || l.sinceAckBytes >= ackBytes {
-				var ab [9]byte
-				ab[0] = frameAck
-				binary.LittleEndian.PutUint64(ab[1:], l.recvd)
-				if err := l.writeLocked(c, ab[:]); err != nil {
+				ack[0] = frameAck
+				binary.LittleEndian.PutUint64(ack[1:], l.recvd)
+				if err := l.writeLocked(c, ack[:]); err != nil {
 					l.breakLocked(c, err)
 					// The frame was counted, so it must still be
 					// delivered before this reader exits.
-					l.queue.push(message{tag: tag, data: data, epoch: epoch})
+					l.queue.push(m)
 					l.mu.Unlock()
 					return
 				}
 				l.sinceAck, l.sinceAckBytes = 0, 0
 			}
-			l.queue.push(message{tag: tag, data: data, epoch: epoch})
+			l.queue.push(m)
 			l.mu.Unlock()
 		case frameAck:
-			var ab [8]byte
-			if _, err := io.ReadFull(br, ab[:]); err != nil {
+			if _, err := io.ReadFull(br, hdr[:8]); err != nil {
 				fail(err)
 				return
 			}
-			seq := binary.LittleEndian.Uint64(ab[:])
+			seq := binary.LittleEndian.Uint64(hdr[:8])
 			l.mu.Lock()
 			base := l.sent - uint64(len(l.unacked))
 			if seq > l.sent {
 				seq = l.sent
 			}
 			if seq > base {
-				for i := 0; i < int(seq-base); i++ {
-					l.unackedBytes -= len(l.unacked[i])
-					l.unacked[i] = nil
-				}
-				l.unacked = l.unacked[seq-base:]
+				l.pruneLocked(int(seq - base))
 				l.cond.Broadcast()
 			}
 			l.mu.Unlock()
@@ -1193,17 +1310,6 @@ func (e *Endpoint) handleAccept(c net.Conn) {
 	if err := l.install(c, peerRecvd, peerBoot); err != nil {
 		c.Close()
 	}
-}
-
-// dataFrame encodes one message frame (also the retransmit buffer entry).
-func dataFrame(tag transport.Tag, epoch uint32, p []byte) []byte {
-	fr := make([]byte, 13+len(p))
-	fr[0] = frameData
-	binary.LittleEndian.PutUint32(fr[1:], uint32(tag))
-	binary.LittleEndian.PutUint32(fr[5:], epoch)
-	binary.LittleEndian.PutUint32(fr[9:], uint32(len(p)))
-	copy(fr[13:], p)
-	return fr
 }
 
 // abortFrame encodes the out-of-band abort broadcast: origin, failed set,

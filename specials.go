@@ -3,6 +3,7 @@ package icc
 import (
 	"repro/internal/core"
 	"repro/internal/group"
+	"repro/internal/transport"
 )
 
 // Specialized broadcasts beyond the hybrid family (§8, §11). These are not
@@ -55,19 +56,17 @@ func (c *Comm) BcastEDST(buf []byte, count int, dt Type, root int) error {
 
 // AllReduceHypercube runs the recursive-halving + recursive-doubling
 // combine-to-all (the iPSC-style algorithm of §11). The communicator size
-// must be a power of two. work must hold count elements of scratch.
+// must be a power of two. As in AllReduce, send is copied into recv and
+// combined there, so the two may be the same buffer.
 func (c *Comm) AllReduceHypercube(send, recv []byte, count int, dt Type, op Op) error {
 	n := count * dt.Size()
-	work := c.scratch(n)
-	tmp := c.scratch(n)
+	var work, tmp []byte
 	if c.carries() {
+		work = recv[:n]
 		copy(work, send[:n])
+		tb := transport.GetBuf(n)
+		defer transport.PutBuf(tb)
+		tmp = *tb
 	}
-	if err := core.HypercubeAllReduce(c.ctx(), work, tmp, count, dt, op); err != nil {
-		return err
-	}
-	if c.carries() {
-		copy(recv[:n], work)
-	}
-	return nil
+	return core.HypercubeAllReduce(c.ctx(), work, tmp, count, dt, op)
 }
